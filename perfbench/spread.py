@@ -18,6 +18,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,7 +48,9 @@ def main():
         cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
                "--workload", args.workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(args.trace)]
+        start = time.monotonic()
         out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        wall = time.monotonic() - start
         lines = out.stdout.strip().splitlines()
         if out.returncode != 0 or not lines:
             print("seed %d: exit %d\n%s" % (seed, out.returncode,
@@ -62,8 +65,8 @@ def main():
         summary = " ".join("%s=%.4g" % (k, v["value"])
                            for k, v in result["metrics"].items()
                            if k in bounds)
-        print("seed %d: correct=%s %s" % (seed, result["correct"], summary),
-              flush=True)
+        print("seed %d: %.0f s, correct=%s %s" %
+              (seed, wall, result["correct"], summary), flush=True)
         for name, m in result["metrics"].items():
             values.setdefault(name, []).append(m["value"])
 

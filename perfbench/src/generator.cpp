@@ -88,8 +88,7 @@ Generator::Window* Generator::window(int id) {
 }
 
 void Generator::begin_window(int id, std::uint64_t seed, std::uint64_t stream,
-                             double rate, double seconds, int subwindows,
-                             bool trace) {
+                             double rate, double seconds, bool trace) {
   Window& w = windows_[id];
   w.schedule.emplace(seed, stream, rate);
   w.start = steady_ns() + kMs;
@@ -98,7 +97,6 @@ void Generator::begin_window(int id, std::uint64_t seed, std::uint64_t stream,
   w.trace = trace;
   w.report.offered_rate = rate;
   w.report.arrival_seconds = seconds;
-  w.report.sub.resize(static_cast<std::size_t>(std::max(subwindows, 1)));
   publish_next_due();
 }
 
@@ -245,22 +243,12 @@ void Generator::finish(std::size_t slot, const mrp::smr::MsgClientReply& reply,
   if (Window* w = window(s.a.window)) {
     WindowReport& r = w->report;
     const double ms = static_cast<double>(now - s.a.due) / 1e6;
-    LatencySet* sub = nullptr;
-    if (w->end > w->start) {
-      const std::size_t n = r.sub.size();
-      const auto k = static_cast<std::size_t>(
-          static_cast<double>(s.a.due - w->start) * static_cast<double>(n) /
-          static_cast<double>(w->end - w->start));
-      sub = &r.sub[std::min(k, n - 1)];
-    }
     if (ok) {
       ++r.committed;
       r.latency.add(ms);
-      if (sub) sub->add(ms);
     } else {
       ++r.wrong;
       r.latency.add_miss();
-      if (sub) sub->add_miss();
     }
     --w->unfinished;
   }
@@ -295,27 +283,20 @@ WindowReport Generator::close_window(int id) {
   Window* w = window(id);
   if (w == nullptr) return {};
   WindowReport& r = w->report;
-  auto miss = [&](std::int64_t due) {
+  auto miss = [&] {
     ++r.missed;
     r.latency.add_miss();
-    if (w->end > w->start) {
-      const std::size_t n = r.sub.size();
-      const auto k = static_cast<std::size_t>(
-          static_cast<double>(due - w->start) * static_cast<double>(n) /
-          static_cast<double>(w->end - w->start));
-      r.sub[std::min(k, n - 1)].add_miss();
-    }
   };
   for (Slot& s : slots_) {
     if (s.busy && s.a.window == id) {
-      miss(s.a.due);
+      miss();
       s.a.window = -1;  // a late reply no longer counts for this window
     }
   }
   std::deque<Arrival> keep;
   for (Arrival& a : backlog_) {
     if (a.window == id) {
-      miss(a.due);  // never sent: it is dropped, not issued
+      miss();  // never sent: it is dropped, not issued
     } else {
       keep.push_back(std::move(a));
     }

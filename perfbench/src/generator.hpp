@@ -54,7 +54,6 @@ struct WindowReport {
   std::uint64_t busy_pushbacks = 0;
   std::uint64_t backlog_at_end = 0;  ///< unfinished arrivals at period end
   LatencySet latency;                ///< ms from due time; misses included
-  std::vector<LatencySet> sub;       ///< the same, per sub-window of due time
   std::vector<double> gen_lag_us;    ///< arrival handled minus due time
 };
 
@@ -70,10 +69,9 @@ class Generator final : public mrp::runtime::Node {
   // --- control (call on the generator's loop, via ThreadCluster::call) ---
 
   /// Opens window `id`: Poisson arrivals at `rate` ops/s for `seconds`,
-  /// stream `stream` of the seeded schedule. Due times are split into
-  /// `subwindows` equal parts for the per-part latency sets.
+  /// stream `stream` of the seeded schedule.
   void begin_window(int id, std::uint64_t seed, std::uint64_t stream,
-                    double rate, double seconds, int subwindows, bool trace);
+                    double rate, double seconds, bool trace);
   /// Opens window `id` whose arrivals are exactly `ops`, all due now.
   void begin_fixed(int id, std::vector<GenOp> ops);
   /// True once the window's arrivals are over and none is unfinished.

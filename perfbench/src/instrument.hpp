@@ -4,7 +4,7 @@
 //   * timed_codec()      — a WireCodec that delegates to net::wire_codec()
 //                          and times every encode and decode (net layer);
 //   * TimedStateMachine  — a StateMachine decorator that times apply() per
-//                          op type (service layer: mrpstore, dlog, echo);
+//                          op type (service layer: mrpstore, dlog);
 //   * TracedReplica      — an smr::ReplicaNode subclass that stamps
 //                          admission, merged delivery and execution of each
 //                          command and counts the commands per own

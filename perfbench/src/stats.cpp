@@ -36,28 +36,6 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-Quartiles quartiles(std::vector<double> v) {
-  Quartiles out;
-  if (v.size() < 2) {
-    out.q1 = out.q2 = out.q3 = v.empty() ? std::nan("") : v[0];
-    return out;
-  }
-  std::sort(v.begin(), v.end());
-  const double m = static_cast<double>(v.size()) + 1;
-  auto at = [&](int i) {
-    // statistics.quantiles(method="exclusive"): position j = i*(n+1)/4.
-    const double pos = static_cast<double>(i) * m / 4;
-    int j = static_cast<int>(std::floor(pos));
-    const double frac = pos - j;
-    j = std::clamp(j, 1, static_cast<int>(v.size()) - 1);
-    return v[j - 1] + (v[j] - v[j - 1]) * frac;
-  };
-  out.q1 = at(1);
-  out.q2 = at(2);
-  out.q3 = at(3);
-  return out;
-}
-
 namespace {
 std::uint64_t splitmix64(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
@@ -84,31 +62,30 @@ std::int64_t PoissonSchedule::next() {
 KneeResult find_knee(const KneeSearch& params,
                      const std::function<Probe(double rate)>& probe) {
   KneeResult out;
-  const Probe* best = nullptr;  // highest passing probe so far
-  double lo = 0;                // highest passing offered rate
-  double hi = 0;                // lowest failing offered rate (0 = none yet)
+  double lo = 0;  // highest passing offered rate
+  double hi = 0;  // lowest failing offered rate (0 = none yet)
+  auto budget_left = [&] {
+    return static_cast<int>(out.probes.size()) < params.max_probes;
+  };
+  // A rate's verdict is the majority of up to three probes: two, and a
+  // third only when they disagree. One disturbed probe can neither pass nor
+  // fail a rate. A rate left without a majority (budget spent) decides
+  // nothing.
   auto run = [&](double rate) {
-    out.probes.push_back(probe(rate));
-    out.probes.back().offered = rate;
-    // A failure counts only when a second probe at the same rate confirms
-    // it: one disturbed probe must not anchor the whole search.
-    if (!out.probes.back().pass &&
-        static_cast<int>(out.probes.size()) < params.max_probes) {
+    int passes = 0, fails = 0;
+    while (passes < 2 && fails < 2 && budget_left()) {
       out.probes.push_back(probe(rate));
       out.probes.back().offered = rate;
+      ++(out.probes.back().pass ? passes : fails);
     }
-    const Probe& p = out.probes.back();
-    if (p.pass) {
-      if (rate > lo) lo = rate;
-    } else if (hi == 0 || rate < hi) {
-      hi = rate;
-    }
+    if (passes >= 2 && rate > lo) lo = rate;
+    if (fails >= 2 && (hi == 0 || rate < hi)) hi = rate;
   };
 
   double rate = std::min(params.start_rate, params.max_rate);
   run(rate);
   // Bracket: walk outward until one passing and one failing rate exist.
-  while (static_cast<int>(out.probes.size()) < params.max_probes) {
+  while (budget_left()) {
     if (lo > 0 && hi > 0) break;
     if (hi == 0) {
       if (rate >= params.max_rate) break;
@@ -119,16 +96,21 @@ KneeResult find_knee(const KneeSearch& params,
     run(rate);
   }
   // Bisect geometrically inside the bracket.
-  while (lo > 0 && hi > 0 && hi / lo - 1 > params.resolution &&
-         static_cast<int>(out.probes.size()) < params.max_probes) {
+  while (lo > 0 && hi > 0 && hi / lo - 1 > params.resolution && budget_left()) {
     run(std::sqrt(lo * hi));
   }
-  for (const Probe& p : out.probes) {
-    if (p.pass && p.offered == lo) best = &p;
-  }
-  if (best != nullptr) {
-    out.knee_ops_s = best->goodput;
-    out.knee_offered = best->offered;
+  if (lo > 0) {
+    // Goodput at the knee: the mean over that rate's probes.
+    double sum = 0;
+    int n = 0;
+    for (const Probe& p : out.probes) {
+      if (p.offered == lo) {
+        sum += p.goodput;
+        ++n;
+      }
+    }
+    out.knee_ops_s = sum / n;
+    out.knee_offered = lo;
   }
   out.resolution = (lo > 0 && hi > 0) ? hi / lo - 1 : kInf;
   return out;

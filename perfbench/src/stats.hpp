@@ -1,5 +1,5 @@
 // Statistics the benchmark reports: latency percentiles in which failed or
-// refused operations count as misses, quartiles, the seeded open-loop
+// refused operations count as misses, medians, the seeded open-loop
 // arrival schedule, and the knee search over offered load.
 #pragma once
 
@@ -40,13 +40,6 @@ double supported_quantile(std::size_t n, std::size_t beyond = 10);
 /// Median of `v` (NaN when empty).
 double median(std::vector<double> v);
 
-struct Quartiles {
-  double q1 = 0, q2 = 0, q3 = 0;
-};
-/// Quartiles by the same rule as Python's statistics.quantiles(v, n=4)
-/// (the "exclusive" method); needs at least two values.
-Quartiles quartiles(std::vector<double> v);
-
 /// Seeded Poisson arrival process: the same (seed, stream) always yields
 /// the same sequence of due times, independent of how fast they are
 /// consumed. Rate is ops/s; times are nanoseconds from the window start.
@@ -72,7 +65,8 @@ struct Probe {
 };
 
 struct KneeResult {
-  /// Goodput at the highest passing offered rate (0 if none passed).
+  /// Mean goodput of the probes at the highest passing offered rate (0 if
+  /// none passed).
   double knee_ops_s = 0;
   double knee_offered = 0;
   /// Relative width of the final pass/fail bracket (hi/lo - 1); kInf when
@@ -85,15 +79,15 @@ struct KneeSearch {
   double start_rate = 1000;  ///< first offered rate (a guess near the knee)
   double growth = 1.25;      ///< bracket factor while searching outward
   double resolution = 0.03;  ///< stop bisecting when hi/lo - 1 <= this
-  int max_probes = 10;  ///< probe runs, confirmations included
+  int max_probes = 16;       ///< probe runs, repeats included
   double max_rate = 1e7;     ///< never offer more than this
 };
 
 /// Finds the highest offered rate whose probe passes: grows (or shrinks)
 /// the rate geometrically from `start_rate` until it brackets a pass/fail
 /// boundary, then bisects geometrically. `probe(rate)` runs the system at
-/// that rate and reports the outcome (its `pass` field decides); a failing
-/// rate is probed a second time and fails only if that probe fails too.
+/// that rate and reports the outcome (its `pass` field); a rate passes or
+/// fails by the majority of up to three probes, the same rule either way.
 KneeResult find_knee(const KneeSearch& params,
                      const std::function<Probe(double rate)>& probe);
 

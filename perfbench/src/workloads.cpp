@@ -25,9 +25,8 @@ const std::vector<WorkloadConfig>& all_workloads() {
   // Rates and limits are fixed after measuring on a 4-core x86 box; the
   // knee hint only starts the search (and sets the traced stress rate).
   static const std::vector<WorkloadConfig> table = {
-      {"ring-echo", 5000, 20.0, 200000},
       {"store-mix", 10000, 20.0, 38000},
-      {"dlog-sync", 1000, 50.0, 4000},
+      {"dlog-sync", 2500, 50.0, 5000},
   };
   return table;
 }
@@ -56,46 +55,6 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   }
   return b;
 }
-
-// --- ring-echo ---
-
-class EchoStateMachine final : public smr::StateMachine {
- public:
-  Bytes apply(GroupId, const Bytes& op) override {
-    ++applied_;
-    return op;  // the reply carries the op back
-  }
-  Bytes snapshot() const override { return to_bytes(std::to_string(applied_)); }
-  void restore(const Bytes& s) override {
-    applied_ = std::stoull(mrp::to_string(s));
-  }
-
- private:
-  std::uint64_t applied_ = 0;
-};
-
-class EchoWorkload final : public Workload {
- public:
-  EchoWorkload(std::uint64_t seed, std::vector<ProcessId> replicas)
-      : rng_(seed), replicas_(std::move(replicas)) {}
-
-  GenOp next() override {
-    GenOp g;
-    g.request = smr::Request::single(kPartition0, replicas_,
-                                     random_bytes(rng_, kOpBytes));
-    return g;
-  }
-  GenOp probe(GroupId) override { return next(); }
-  bool check(const GenOp& op, const Bytes& result) override {
-    return result == op.request.op;
-  }
-
-  static constexpr std::size_t kOpBytes = 128;
-
- private:
-  Rng rng_;
-  std::vector<ProcessId> replicas_;
-};
 
 // --- store-mix ---
 
@@ -240,7 +199,10 @@ std::unique_ptr<smr::StateMachine> make_store_sm(std::uint64_t seed) {
 
 // --- dlog-sync ---
 
-constexpr std::size_t kEntryBytes = 1024;
+// Small entries keep the run's synced write volume low: with 1 KiB entries
+// a run writes and then deletes about 600 MB, and on a shared virtual disk
+// that slows the fsyncs of the runs that follow.
+constexpr std::size_t kEntryBytes = 128;
 
 dlog::DLogDeployment dlog_routing(const std::vector<ProcessId>& servers) {
   dlog::DLogDeployment d;
@@ -312,9 +274,6 @@ std::unique_ptr<Workload> make_workload(const WorkloadConfig& config,
   // The operation stream gets its own seed lane (the arrival schedule uses
   // PoissonSchedule streams of the same seed).
   const std::uint64_t op_seed = seed * 0x9e3779b97f4a7c15ULL + 0x5eed;
-  if (config.name == "ring-echo") {
-    return std::make_unique<EchoWorkload>(op_seed, replicas);
-  }
   if (config.name == "store-mix") {
     return std::make_unique<StoreWorkload>(op_seed, replicas);
   }
@@ -324,10 +283,8 @@ std::unique_ptr<Workload> make_workload(const WorkloadConfig& config,
 Deployment::Deployment(const WorkloadConfig& config,
                        const DeployOptions& options)
     : config_(config), replicas_({1, 2, 3}) {
-  const bool echo = config.name == "ring-echo";
   const bool dlog = config.name == "dlog-sync";
-  groups_ = echo ? std::vector<GroupId>{kPartition0}
-                 : std::vector<GroupId>{kPartition0, kPartition1, kThirdRing};
+  groups_ = {kPartition0, kPartition1, kThirdRing};
   workload_ = make_workload(config, options.seed);
 
   runtime::ThreadClusterOptions copts;
@@ -348,12 +305,10 @@ Deployment::Deployment(const WorkloadConfig& config,
     registry_->create_ring(rc);
 
     ringpaxos::RingParams rp;
-    if (!echo) {
-      // Rate leveling (the paper's Delta = 5 ms, lambda = 9000): idle rings
-      // keep the deterministic merge moving with skip instances.
-      rp.skip_interval = 5 * kMillisecond;
-      rp.lambda = 9000;
-    }
+    // Rate leveling (the paper's Delta = 5 ms, lambda = 9000): idle rings
+    // keep the deterministic merge moving with skip instances.
+    rp.skip_interval = 5 * kMillisecond;
+    rp.lambda = 9000;
     if (dlog) {
       rp.write_mode = storage::WriteMode::Sync;
       rp.disk_index = g;  // one log file per ring
@@ -370,12 +325,10 @@ Deployment::Deployment(const WorkloadConfig& config,
   const std::uint64_t seed = options.seed;
   const bool traced = options.traced;
   smr::StateMachineFactory factory =
-      [echo, dlog, seed, traced](runtime::Runtime& rt,
-                                 ProcessId self) -> std::unique_ptr<smr::StateMachine> {
+      [dlog, seed, traced](runtime::Runtime& rt,
+                           ProcessId self) -> std::unique_ptr<smr::StateMachine> {
     std::unique_ptr<smr::StateMachine> sm;
-    if (echo) {
-      sm = std::make_unique<EchoStateMachine>();
-    } else if (dlog) {
+    if (dlog) {
       sm = std::make_unique<dlog::LogStateMachine>(
           rt, self, std::vector<dlog::LogId>{0, 1},
           dlog::LogStateMachineOptions{});

@@ -1,4 +1,4 @@
-// The three benchmark workloads: what each deploys on the ThreadRuntime
+// The benchmark workloads: what each deploys on the ThreadRuntime
 // backend (3 replica loops + the generator loop + the registry oracle in one
 // OS process, loopback TCP between them), the seeded operation sequence the
 // generator offers, and the correctness checks on replies and final state.

@@ -1,9 +1,10 @@
-// Tests of the benchmark's own pieces: percentiles with misses, quartiles,
+// Tests of the benchmark's own pieces: percentiles with misses, medians,
 // the seeded arrival schedule and op sequence, the knee search, and the
 // stage decomposition of a traced command.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "stats.hpp"
 #include "trace.hpp"
@@ -39,12 +40,7 @@ TEST(Stats, SupportedQuantileKeepsTenSamplesBeyond) {
   EXPECT_EQ(supported_quantile(10), 0);
 }
 
-TEST(Stats, QuartilesMatchPythonExclusiveMethod) {
-  // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
-  const Quartiles q = quartiles({10, 9, 8, 7, 6, 5, 4, 3, 2, 1});
-  EXPECT_DOUBLE_EQ(q.q1, 2.75);
-  EXPECT_DOUBLE_EQ(q.q2, 5.5);
-  EXPECT_DOUBLE_EQ(q.q3, 8.25);
+TEST(Stats, MedianOfOddAndEvenCounts) {
   EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2);
   EXPECT_DOUBLE_EQ(median({4, 1, 2, 3}), 2.5);
 }
@@ -122,21 +118,59 @@ TEST(KneeSearch, ShrinksWhenTheStartRateFails) {
   EXPECT_FALSE(r.probes.front().pass);
 }
 
-TEST(KneeSearch, OneDisturbedProbeDoesNotAnchorTheSearch) {
+TEST(KneeSearch, OneDisturbedFailureDoesNotFailARate) {
   KneeSearch ks;
   ks.start_rate = 20'000;
   ks.resolution = 0.02;
-  ks.max_probes = 20;
+  ks.max_probes = 40;
   int calls = 0;
   const KneeResult r = find_knee(ks, [&](double rate) {
     Probe p = synthetic(rate, 40'000, 1.0);
     if (++calls == 1) p.pass = false;  // the first probe hits a host stall
     return p;
   });
+  // Fail, pass, then a third probe at the same rate breaks the tie.
+  ASSERT_GE(r.probes.size(), 3u);
   EXPECT_FALSE(r.probes[0].pass);
-  EXPECT_TRUE(r.probes[1].pass);  // the confirmation at the same rate
-  EXPECT_DOUBLE_EQ(r.probes[1].offered, 20'000);
+  EXPECT_TRUE(r.probes[1].pass);
+  EXPECT_TRUE(r.probes[2].pass);
+  EXPECT_DOUBLE_EQ(r.probes[2].offered, 20'000);
   EXPECT_GE(r.knee_offered, (40'000 - 50.0 / 0.9) / (1 + ks.resolution));
+}
+
+TEST(KneeSearch, OneLuckyPassDoesNotPassARate) {
+  // The rule is symmetric: above the true knee, a single passing probe per
+  // rate (a lucky window) must not lift the result.
+  const double truth = 40'000 - 50.0 / 0.9;
+  KneeSearch ks;
+  ks.start_rate = 20'000;
+  ks.resolution = 0.02;
+  ks.max_probes = 60;
+  std::map<double, int> calls;
+  const KneeResult r = find_knee(ks, [&](double rate) {
+    Probe p = synthetic(rate, 40'000, 1.0);
+    if (++calls[rate] == 1) p.pass = true;
+    return p;
+  });
+  EXPECT_LE(r.knee_offered, truth);
+  EXPECT_GE(r.knee_offered, truth / (1 + ks.resolution));
+}
+
+TEST(KneeSearch, RateWithoutMajorityDecidesNothing) {
+  // The budget ends after two disagreeing probes of the second rate.
+  KneeSearch ks;
+  ks.start_rate = 1000;
+  ks.max_probes = 4;
+  int calls = 0;
+  const KneeResult r = find_knee(ks, [&](double) {
+    Probe p;
+    p.goodput = 1000;
+    p.pass = ++calls != 4;
+    return p;
+  });
+  EXPECT_EQ(r.probes.size(), 4u);
+  EXPECT_DOUBLE_EQ(r.knee_offered, 1000);
+  EXPECT_TRUE(std::isinf(r.resolution));
 }
 
 TEST(KneeSearch, ReportsUnresolvedWhenNothingFails) {
