@@ -80,6 +80,8 @@ struct ValueId {
   ProcessId proposer = kNoProcess;
   std::uint64_t seq = 0;
 
+  /// Wire layout (codec/fields.hpp).
+  static void fields(auto& s, auto&& f) { f(s.proposer, s.seq); }
   friend bool operator==(const ValueId&, const ValueId&) = default;
   friend auto operator<=>(const ValueId&, const ValueId&) = default;
 };

@@ -45,6 +45,7 @@
 
 #include <mutex>
 
+#include "codec/fields.hpp"
 #include "common/types.hpp"
 #include "runtime/message.hpp"
 #include "runtime/runtime.hpp"
@@ -77,6 +78,13 @@ struct RingView {
   std::vector<ProcessId> configured_acceptors;  // sorted; vote-bit basis
   std::size_t total_acceptors = 0;   // == configured_acceptors.size()
   ProcessId coordinator = kNoProcess;
+
+  /// Wire layout (codec/fields.hpp); size_t travels as a varint.
+  static void fields(auto& s, auto&& f) {
+    f(s.ring, s.epoch, s.members, s.acceptors,
+      codec::varint(s.total_acceptors), s.coordinator, s.acceptor_view,
+      s.configured_acceptors);
+  }
 
   std::size_t quorum() const { return total_acceptors / 2 + 1; }
   bool contains(ProcessId p) const;
@@ -116,6 +124,7 @@ struct RingConfig {
 struct SchemaEntry {
   std::uint64_t version = 0;
   std::string encoded;
+  static void fields(auto& s, auto&& f) { f(s.version, s.encoded); }
 };
 
 constexpr int kMsgViewChange = 600;
@@ -125,6 +134,7 @@ constexpr int kMsgAcceptorPrep = 603;
 
 struct MsgViewChange : runtime::Message {
   RingView view;
+  static void fields(auto& s, auto&& f) { f(s.view); }
   int kind() const override { return kMsgViewChange; }
   std::size_t wire_size() const override {
     return 32 + view.members.size() * 8;
@@ -143,6 +153,7 @@ struct MsgAcceptorPrep : runtime::Message {
   GroupId ring = -1;
   std::uint64_t seq = 0;             // change-attempt id (registry-global)
   std::vector<ProcessId> sources;    // alive acceptors to drain
+  static void fields(auto& s, auto&& f) { f(s.ring, s.seq, s.sources); }
   int kind() const override { return kMsgAcceptorPrep; }
   std::size_t wire_size() const override { return 24 + sources.size() * 8; }
 };
@@ -151,6 +162,7 @@ struct MsgAcceptorPrep : runtime::Message {
 struct MsgSchemaChange : runtime::Message {
   std::string key;
   SchemaEntry entry;
+  static void fields(auto& s, auto&& f) { f(s.key, s.entry); }
   int kind() const override { return kMsgSchemaChange; }
   std::size_t wire_size() const override {
     return 24 + key.size() + entry.encoded.size();
@@ -163,6 +175,7 @@ struct MsgSubChange : runtime::Message {
   ProcessId process = kNoProcess;
   std::uint64_t epoch = 0;
   std::vector<GroupId> groups;
+  static void fields(auto& s, auto&& f) { f(s.process, s.epoch, s.groups); }
   int kind() const override { return kMsgSubChange; }
   std::size_t wire_size() const override { return 24 + groups.size() * 4; }
 };

@@ -28,6 +28,7 @@ struct Value {
 
   bool is_skip() const { return skip_count > 0; }
   std::size_t wire_size() const { return 24 + payload.size(); }
+  static void fields(auto& s, auto&& f) { f(s.id, s.skip_count, s.payload); }
 
   static Value skip(ValueId id, std::uint32_t count) {
     Value v;
@@ -51,6 +52,10 @@ struct Promise {
   Round vround = 0;
   Value value;
   bool decided = false;
+
+  static void fields(auto& s, auto&& f) {
+    f(s.instance, s.vround, s.value, s.decided);
+  }
 };
 
 /// Phase-1 value-selection: given the promises of a quorum for one instance,

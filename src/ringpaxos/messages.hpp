@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "codec/fields.hpp"
 #include "common/types.hpp"
 #include "paxos/paxos.hpp"
 #include "runtime/message.hpp"
@@ -33,11 +34,18 @@ constexpr int kMsgLogSyncReply = 111;
 struct RingMessage : runtime::Message {
   GroupId ring = -1;
   int ttl = 0;
+
+  /// Wire layout (codec/fields.hpp): ring and ttl, then the fields each
+  /// kind's own fields() passes in as `own`.
+  static void fields(auto& s, auto&& f, auto&&... own) {
+    f(s.ring, s.ttl, own...);
+  }
 };
 
 /// A value on its way to the coordinator, forwarded along the ring.
 struct MsgProposal final : RingMessage {
   paxos::Value value;
+  static void fields(auto& s, auto&& f) { RingMessage::fields(s, f, s.value); }
   int kind() const override { return kMsgProposal; }
   std::size_t wire_size() const override { return 16 + value.wire_size(); }
 };
@@ -50,6 +58,9 @@ struct MsgPhase1A final : RingMessage {
   Round round = 0;
   InstanceId floor = 0;
   std::uint64_t aview = 0;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.round, s.floor, s.aview);
+  }
   int kind() const override { return kMsgPhase1A; }
   std::size_t wire_size() const override { return 40; }
 };
@@ -60,6 +71,10 @@ struct MsgPhase1B final : RingMessage {
   InstanceId trimmed_to = 0;
   std::uint64_t aview = 0;
   std::vector<paxos::Promise> promises;  // non-trimmed records >= floor
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.round, s.acceptor, s.trimmed_to, s.aview,
+                              s.promises);
+  }
   int kind() const override { return kMsgPhase1B; }
   std::size_t wire_size() const override {
     std::size_t s = 48;
@@ -80,6 +95,9 @@ struct MsgPhase2 final : RingMessage {
   paxos::Value value;
   std::uint64_t votes = 0;
   std::uint64_t aview = 0;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.round, s.instance, s.value, s.votes, s.aview);
+  }
   int kind() const override { return kMsgPhase2; }
   std::size_t wire_size() const override { return 48 + value.wire_size(); }
 };
@@ -93,6 +111,10 @@ struct MsgDecision final : RingMessage {
   paxos::Value value;
   bool with_value = false;
   ProcessId origin = kNoProcess;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.instance, s.with_value,
+                              codec::when(s.with_value, s.value), s.origin);
+  }
   int kind() const override { return kMsgDecision; }
   std::size_t wire_size() const override {
     return 48 + (with_value ? value.wire_size() : 0);
@@ -103,6 +125,9 @@ struct MsgDecision final : RingMessage {
 struct MsgRetransmitReq final : RingMessage {
   InstanceId lo = 0;
   InstanceId hi = 0;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.lo, s.hi);
+  }
   int kind() const override { return kMsgRetransmitReq; }
   std::size_t wire_size() const override { return 32; }
 };
@@ -112,6 +137,9 @@ struct MsgRetransmitReply final : RingMessage {
   InstanceId hi = 0;
   InstanceId trimmed_to = 0;
   std::vector<std::pair<InstanceId, paxos::Value>> decided;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.lo, s.hi, s.trimmed_to, s.decided);
+  }
   int kind() const override { return kMsgRetransmitReply; }
   std::size_t wire_size() const override {
     std::size_t s = 48;
@@ -123,6 +151,7 @@ struct MsgRetransmitReply final : RingMessage {
 /// Instructs an acceptor to trim its log below `upto` (recovery protocol).
 struct MsgTrim final : RingMessage {
   InstanceId upto = 0;
+  static void fields(auto& s, auto&& f) { RingMessage::fields(s, f, s.upto); }
   int kind() const override { return kMsgTrim; }
   std::size_t wire_size() const override { return 24; }
 };
@@ -134,6 +163,9 @@ struct MsgTrim final : RingMessage {
 struct MsgLogSyncReq final : RingMessage {
   std::uint64_t seq = 0;
   InstanceId from = 0;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.seq, s.from);
+  }
   int kind() const override { return kMsgLogSyncReq; }
   std::size_t wire_size() const override { return 32; }
 };
@@ -149,6 +181,10 @@ struct MsgLogSyncReply final : RingMessage {
   std::vector<paxos::Promise> records;
   InstanceId next = 0;
   bool done = false;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.seq, s.from, s.promised, s.trimmed_to,
+                              s.records, s.next, s.done);
+  }
   int kind() const override { return kMsgLogSyncReply; }
   std::size_t wire_size() const override {
     std::size_t s = 64;
@@ -164,6 +200,9 @@ struct MsgLogSyncReply final : RingMessage {
 struct MsgBusy final : RingMessage {
   ValueId id;
   TimeNs retry_after = 0;
+  static void fields(auto& s, auto&& f) {
+    RingMessage::fields(s, f, s.id, s.retry_after);
+  }
   int kind() const override { return kMsgBusy; }
   std::size_t wire_size() const override { return 36; }
 };

@@ -448,11 +448,14 @@ void ThreadRuntime::read_ready(Inbound& in) {
   dispatch_frames(in);
 }
 
+// A frame with a bad length, an unknown kind or a body that does not decode
+// exactly costs its connection (frames before it were dispatched), never
+// the process.
 void ThreadRuntime::dispatch_frames(Inbound& in) {
   std::size_t pos = 0;
   while (in.buf.size() - pos >= 4) {
     const std::uint32_t len = load_le32(in.buf.data() + pos);
-    MRP_CHECK_MSG(len >= 12 && len <= kMaxFrame, "malformed frame length");
+    if (len < 12 || len > kMaxFrame) return reject_connection(in);
     if (in.buf.size() - pos < 4u + len) break;
     const std::uint8_t* p = in.buf.data() + pos + 4;
     const auto from = static_cast<ProcessId>(load_le32(p));
@@ -461,14 +464,26 @@ void ThreadRuntime::dispatch_frames(Inbound& in) {
     pos += 4u + len;
     MRP_CHECK_MSG(cluster_.options().codec.decode != nullptr,
                   "ThreadCluster has no wire codec");
-    codec::Reader r(p + 12, len - 12);
-    MessagePtr m = cluster_.options().codec.decode(kind, r);
-    MRP_CHECK_MSG(m != nullptr, "no wire decoder for received message kind");
-    r.expect_done();
+    MessagePtr m;
+    try {
+      codec::Reader r(p + 12, len - 12);
+      m = cluster_.options().codec.decode(kind, r);
+      if (m) r.expect_done();
+    } catch (const codec::CodecError&) {
+      m = nullptr;
+    }
+    if (!m) return reject_connection(in);
     ++stats_.frames_received;
     if (to == pid_ && node_) node_->on_message(from, *m);
   }
   if (pos > 0) in.buf.erase(in.buf.begin(), in.buf.begin() + pos);
+}
+
+void ThreadRuntime::reject_connection(Inbound& in) {
+  ++stats_.frames_rejected;
+  if (in.fd >= 0) ::close(in.fd);  // also drops the fd from the epoll set
+  in.fd = -1;
+  in.buf.clear();
 }
 
 void ThreadRuntime::close_outbound(Outbound& ob) {

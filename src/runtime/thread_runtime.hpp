@@ -98,6 +98,7 @@ struct TransportStats {
   std::uint64_t frames_sent = 0;      ///< frames accepted into a send queue
   std::uint64_t frames_dropped = 0;   ///< dropped at max_conn_pending_bytes
   std::uint64_t frames_received = 0;  ///< frames dispatched to the node
+  std::uint64_t frames_rejected = 0;  ///< malformed: closed the connection
   std::uint64_t bodies_encoded = 0;   ///< encode-once cache misses
   std::uint64_t flushes = 0;          ///< sendmsg calls that moved bytes
   std::uint64_t flushed_bytes = 0;    ///< bytes those calls moved
@@ -113,6 +114,7 @@ struct TransportStats {
     frames_sent += o.frames_sent;
     frames_dropped += o.frames_dropped;
     frames_received += o.frames_received;
+    frames_rejected += o.frames_rejected;
     bodies_encoded += o.bodies_encoded;
     flushes += o.flushes;
     flushed_bytes += o.flushed_bytes;
@@ -212,6 +214,7 @@ class ThreadRuntime final : public Runtime {
   void accept_ready();
   void read_ready(Inbound& in);
   void dispatch_frames(Inbound& in);
+  void reject_connection(Inbound& in);
   void out_ready(Outbound& ob, std::uint32_t events);
   void enqueue_frame(Outbound& ob, Frame f);
   void flush_dirty();

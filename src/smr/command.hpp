@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "codec/codec.hpp"
+#include "codec/fields.hpp"
 #include "common/types.hpp"
 #include "runtime/message.hpp"
 
@@ -49,6 +49,8 @@ struct Command {
 
   bool multi_group() const { return groups.size() > 1; }
 
+  /// Wire layout, shared by batches and client requests (codec/fields.hpp).
+  static void fields(auto& s, auto&& f) { f(s.session, s.seq, s.op, s.groups); }
   std::size_t wire_size() const {
     return 21 + 4 * groups.size() + op.size();
   }
@@ -57,6 +59,8 @@ struct Command {
 /// One multicast value = one batch of commands for the same group.
 struct Batch {
   std::vector<Command> commands;
+
+  static void fields(auto& s, auto&& f) { f(s.commands); }
 
   std::size_t wire_size() const {
     std::size_t s = 4;
@@ -72,6 +76,7 @@ Batch decode_batch(const Bytes& data);
 struct MsgClientRequest final : runtime::Message {
   GroupId group = -1;
   Command command;
+  static void fields(auto& s, auto&& f) { f(s.group, s.command); }
   int kind() const override { return kMsgClientRequest; }
   std::size_t wire_size() const override { return 12 + command.wire_size(); }
 };
@@ -82,6 +87,9 @@ struct MsgClientReply final : runtime::Message {
   std::uint64_t seq = 0;
   int partition_tag = 0;  // which partition answered (scan fan-in)
   Bytes result;
+  static void fields(auto& s, auto&& f) {
+    f(s.session, s.seq, s.partition_tag, s.result);
+  }
   int kind() const override { return kMsgClientReply; }
   std::size_t wire_size() const override { return 28 + result.size(); }
 };
@@ -95,6 +103,9 @@ struct MsgClientBusy final : runtime::Message {
   std::uint64_t seq = 0;
   GroupId group = -1;
   TimeNs retry_after = 0;
+  static void fields(auto& s, auto&& f) {
+    f(s.session, s.seq, s.group, s.retry_after);
+  }
   int kind() const override { return kMsgClientBusy; }
   std::size_t wire_size() const override { return 32; }
 };

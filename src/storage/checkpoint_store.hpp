@@ -34,6 +34,8 @@ struct Checkpoint {
   Bytes state;           // serialized application state
   std::uint64_t sequence = 0;  // per-replica checkpoint counter
 
+  /// Wire layout (codec/fields.hpp).
+  static void fields(auto& s, auto&& f) { f(s.next, s.state, s.sequence); }
   std::size_t wire_size() const { return 16 + next.size() * 16 + state.size(); }
 };
 

@@ -11,6 +11,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -592,6 +593,116 @@ TEST(ThreadRuntimeBackPressureTest, PendingCapHoldsUnderStalledReader) {
       << "per-connection queue exceeded max_conn_pending_bytes";
   cluster.stop();
   ::close(lfd);
+}
+
+// One wire frame: u32 length (of what follows), from, to, kind, body.
+Bytes raw_frame(std::uint32_t len, ProcessId from, ProcessId to, int kind,
+                const Bytes& body) {
+  codec::Writer w;
+  w.u32(len);
+  w.u32(static_cast<std::uint32_t>(from));
+  w.u32(static_cast<std::uint32_t>(to));
+  w.u32(static_cast<std::uint32_t>(kind));
+  w.raw(body.data(), body.size());
+  return w.take();
+}
+
+Bytes frame_of(ProcessId from, ProcessId to, int kind, const Bytes& body) {
+  return raw_frame(static_cast<std::uint32_t>(12 + body.size()), from, to,
+                   kind, body);
+}
+
+// Connects to 127.0.0.1:port, writes `bytes`, and reports whether the peer
+// then closed the connection (recv sees EOF within 10 s).
+bool send_and_expect_close(std::uint16_t port, const Bytes& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  bool closed = false;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(bytes.size())) {
+    char c;
+    closed = ::recv(fd, &c, 1, 0) == 0;
+  }
+  ::close(fd);
+  return closed;
+}
+
+// Bytes from the network are untrusted: a malformed frame closes only the
+// connection it arrived on and bumps frames_rejected; frames ahead of it
+// still dispatch and the process keeps serving every other connection.
+TEST(ThreadRuntimeBadFrameTest, BadFrameCostsOneConnection) {
+  runtime::ThreadClusterOptions o;
+  o.codec = net::wire_codec();
+
+  Shared shared;
+  runtime::ThreadCluster cluster(o);
+  for (ProcessId pid : {1, 2}) {
+    cluster.add_local(pid, [&shared](runtime::Runtime& rt) {
+      return std::make_unique<ProbeNode>(rt, &shared);
+    });
+  }
+  cluster.start();
+  const std::uint16_t port = cluster.port_of(1);
+
+  // A good frame ahead of the bad one on the same connection.
+  smr::MsgClientReply good;
+  good.session = 1;
+  good.seq = 2;
+  good.result = to_bytes("before");
+  codec::Writer gw;
+  ASSERT_TRUE(net::wire_encode(gw, good));
+  Bytes first = frame_of(9, 1, smr::kMsgClientReply, gw.buffer());
+
+  // 27-byte MsgClientRequest body whose group count claims 2^40 entries.
+  codec::Writer bw;
+  bw.u32(0);         // group
+  bw.u64(1);         // session
+  bw.u64(1);         // seq
+  bw.varint(0);      // op: empty
+  bw.varint(1ULL << 40);  // group count
+  ASSERT_EQ(bw.size(), 27u);
+  const Bytes huge = frame_of(9, 1, smr::kMsgClientRequest, bw.buffer());
+  first.insert(first.end(), huge.begin(), huge.end());
+
+  const std::vector<Bytes> bad = {
+      first,
+      frame_of(9, 1, 9999, {}),              // unknown kind
+      raw_frame(5, 9, 1, 0, Bytes{1, 2}),    // length below the header
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_TRUE(send_and_expect_close(port, bad[i])) << "frame " << i;
+    EXPECT_EQ(cluster.transport_stats(1).frames_rejected, i + 1)
+        << "frame " << i;
+  }
+  EXPECT_EQ(shared.snapshot(),
+            (std::vector<std::string>{
+                "from=9 kind=301 session=1 seq=2 tag=0 result=before"}));
+
+  // The process is alive and its other connections still work.
+  cluster.call(2, [](runtime::Node* n) {
+    auto m = std::make_shared<smr::MsgClientReply>();
+    m->session = 3;
+    m->seq = 4;
+    m->result = to_bytes("after");
+    n->send(1, std::move(m));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shared.count() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(shared.count(), 2u);
+  EXPECT_EQ(shared.snapshot()[1],
+            "from=2 kind=301 session=3 seq=4 tag=0 result=after");
+  EXPECT_EQ(cluster.transport_stats_all().frames_rejected, 3u);
+  cluster.stop();
 }
 
 }  // namespace
