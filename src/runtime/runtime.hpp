@@ -94,9 +94,13 @@ class Runtime {
   /// process). Use the typed stable<T>() accessor instead.
   virtual StableSlot& stable_record(const std::string& key) = 0;
 
-  /// Durably writes `bytes` bytes to this process's storage device `index`;
-  /// `done` (nullable) fires when the bytes are durable. The sim backend
-  /// models device latency; the thread backend appends to a file.
+  /// Durably writes `bytes` bytes to this process's storage device
+  /// `disk_index`. `done` (nullable) fires on this process's loop, after the
+  /// bytes are durable, in issue order. The sim backend models one FIFO
+  /// device per index and completes later in simulated time. The thread
+  /// backend group-commits a loop turn's writes with one fdatasync and runs
+  /// the completions at the end of that turn, in issue order across all
+  /// indexes; with no storage dir it runs `done` inline.
   virtual void durable_write(int disk_index, std::size_t bytes, Task done) = 0;
 
   // --- typed stable slots (the Env::stable<T> contract) ---

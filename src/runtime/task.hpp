@@ -25,8 +25,9 @@ namespace mrp::runtime {
 namespace detail {
 
 /// Free list of fixed-size blocks for captures that do not fit inline.
-/// Blocks are never returned to the system until thread exit; the pool's
-/// high-water mark is the peak number of simultaneously queued large events.
+/// Blocks are returned to the system only when their thread exits; the
+/// pool's high-water mark is the peak number of simultaneously queued large
+/// events.
 class TaskSlab {
  public:
   static constexpr std::size_t kBlockSize = 128;
@@ -66,9 +67,24 @@ class TaskSlab {
   struct Node {
     Node* next;
   };
+  /// Owns the thread's cached blocks: a thread that exits (a stopped event
+  /// loop) hands them back instead of leaking them.
+  struct FreeList {
+    Node* head = nullptr;
+    FreeList() = default;
+    FreeList(const FreeList&) = delete;
+    FreeList& operator=(const FreeList&) = delete;
+    ~FreeList() {
+      while (head != nullptr) {
+        Node* next = head->next;
+        ::operator delete(head);
+        head = next;
+      }
+    }
+  };
   static Node*& free_list() {
-    thread_local Node* head = nullptr;
-    return head;
+    thread_local FreeList list;
+    return list.head;
   }
 };
 

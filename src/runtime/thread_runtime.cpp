@@ -132,7 +132,7 @@ ThreadRuntime::~ThreadRuntime() {
     thread_.join();
   }
   for (auto& [addr, size] : mappings_) ::munmap(addr, size);
-  for (auto& [index, fd] : durable_fds_) ::close(fd);
+  if (wal_fd_ >= 0) ::close(wal_fd_);
   for (auto& [to, ob] : out_) {
     if (ob.fd >= 0) ::close(ob.fd);
   }
@@ -298,41 +298,55 @@ void* ThreadRuntime::stable_map(const std::string& key, std::size_t size,
   return mapped;
 }
 
-int ThreadRuntime::durable_fd(int disk_index) {
-  auto it = durable_fds_.find(disk_index);
-  if (it != durable_fds_.end()) return it->second;
-  make_dir(cluster_.options().storage_dir);
-  make_dir(cluster_.options().storage_dir + "/p" + std::to_string(pid_));
-  const std::string path = storage_path("wal" + std::to_string(disk_index));
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  MRP_CHECK_MSG(fd >= 0, "cannot open durable log file");
-  durable_fds_.emplace(disk_index, fd);
-  return fd;
+void ThreadRuntime::durable_write(int /*disk_index*/, std::size_t bytes,
+                                  Task done) {
+  if (cluster_.options().storage_dir.empty()) {
+    if (done) done();
+    return;
+  }
+  // Deferred to the turn's group commit (commit_durable); the pending count
+  // and the waiter queue are loop-owned.
+  MRP_CHECK_MSG(on_loop_thread(), "durable_write off the loop thread");
+  ++stats_.durable_writes;
+  stats_.durable_bytes += bytes;
+  durable_pending_ += bytes;
+  if (done) durable_waiters_.push_back(std::move(done));
 }
 
-void ThreadRuntime::durable_write(int disk_index, std::size_t bytes,
-                                  Task done) {
-  if (!cluster_.options().storage_dir.empty()) {
-    // Synchronous append+fsync on the loop thread: the caller observes real
-    // device latency, the way the sim's Disk models it.
-    const int fd = durable_fd(disk_index);
-    static const std::vector<std::uint8_t> zeros(64 * 1024, 0);
-    std::size_t left = bytes;
-    while (left > 0) {
-      const std::size_t n = std::min(left, zeros.size());
-      const ssize_t w = ::write(fd, zeros.data(), n);
-      if (w < 0 && errno == EINTR) continue;  // retry, not a failure
-      MRP_CHECK_MSG(w > 0, "durable log write failed");
-      left -= static_cast<std::size_t>(w);
-    }
-    // An unchecked fsync would report durability that never happened.
-#ifdef __APPLE__
-    MRP_CHECK_MSG(::fsync(fd) == 0, "durable log fsync failed");
-#else
-    MRP_CHECK_MSG(::fdatasync(fd) == 0, "durable log fdatasync failed");
-#endif
+void ThreadRuntime::commit_durable() {
+  // Completions may write again (vote -> learn -> apply -> data-file
+  // write): commit until the turn has nothing pending.
+  while (durable_pending_ > 0 || !durable_waiters_.empty()) {
+    if (durable_pending_ > 0) sync_wal(std::exchange(durable_pending_, 0));
+    durable_firing_.swap(durable_waiters_);
+    for (Task& t : durable_firing_) t();
+    durable_firing_.clear();
   }
-  if (done) done();
+}
+
+void ThreadRuntime::sync_wal(std::size_t bytes) {
+  if (wal_fd_ < 0) {
+    make_dir(cluster_.options().storage_dir);
+    make_dir(cluster_.options().storage_dir + "/p" + std::to_string(pid_));
+    wal_fd_ = ::open(storage_path("wal").c_str(),
+                     O_WRONLY | O_APPEND | O_CREAT, 0644);
+    MRP_CHECK_MSG(wal_fd_ >= 0, "cannot open durable log file");
+  }
+  static const std::vector<std::uint8_t> zeros(64 * 1024, 0);
+  while (bytes > 0) {
+    const ssize_t w = ::write(wal_fd_, zeros.data(),
+                              std::min(bytes, zeros.size()));
+    if (w < 0 && errno == EINTR) continue;  // retry, not a failure
+    MRP_CHECK_MSG(w > 0, "durable log write failed");
+    bytes -= static_cast<std::size_t>(w);
+  }
+  // An unchecked fsync would report durability that never happened.
+#ifdef __APPLE__
+  MRP_CHECK_MSG(::fsync(wal_fd_) == 0, "durable log fsync failed");
+#else
+  MRP_CHECK_MSG(::fdatasync(wal_fd_) == 0, "durable log fdatasync failed");
+#endif
+  ++stats_.durable_syncs;
 }
 
 TimeNs ThreadRuntime::next_deadline() {
@@ -683,11 +697,14 @@ void ThreadRuntime::loop() {
                   }),
               in_.end());
     if (stop_.load(std::memory_order_acquire)) break;
+    commit_durable();
     flush_dirty();
 
     int timeout_ms = 200;  // re-check stop_/timers at least this often
     const TimeNs deadline = next_deadline();
-    if (deadline != kNoDeadline) {
+    if (!local_posted_.empty()) {
+      timeout_ms = 0;  // durable completions self-sent; run them next
+    } else if (deadline != kNoDeadline) {
       const TimeNs delta = deadline - now();
       timeout_ms = delta <= 0
                        ? 0
@@ -717,10 +734,16 @@ void ThreadRuntime::loop() {
           break;
       }
     }
-    // Replies generated while dispatching this batch go out in one flush
-    // per connection (the deferred-flush half of the batching design).
+    // Replies generated while dispatching this batch, and the votes the
+    // batch's group commit released, go out in one flush per connection
+    // (the deferred-flush half of the batching design).
+    commit_durable();
     flush_dirty();
   }
+  // A stopped process behaves as crashed: writes not yet committed are
+  // lost and their completions never run. The waiters die here, on the
+  // loop thread, like every other Task the loop owns.
+  durable_waiters_.clear();
   node_.reset();  // destroy the node on its own loop thread
 }
 

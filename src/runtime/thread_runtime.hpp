@@ -31,8 +31,17 @@
 //     coalescing, drops, and the pending-bytes high-water mark.
 //   * stable slots — trivially-copyable types are mmap'd from files under
 //     the cluster storage dir (crash-surviving like Env::stable); other
-//     types live on the heap. durable_write appends to a per-process WAL
-//     file and fsyncs.
+//     types live on the heap.
+//   * group commit — every disk_index of a process names a file in the same
+//     storage_dir/p<pid>/ directory on one device, so all durable writes go
+//     to one per-process WAL (storage_dir/p<pid>/wal). durable_write only
+//     adds its bytes to the turn's pending count and queues `done`; right
+//     before each batch-end flush the loop appends the pending bytes in one
+//     write, issues one fdatasync, then runs the completions in issue
+//     order, so the votes they send leave in that same flush. Completions
+//     that write again get another commit before the flush: every byte is
+//     durable by the end of the turn that issued it. Without a storage dir
+//     `done` runs inline.
 //
 // ThreadCluster wires a set of ThreadRuntimes (plus optional remote peers
 // served by other OS processes, for mrpd/mrpctl) into one deployment.
@@ -108,6 +117,9 @@ struct TransportStats {
   std::uint64_t wakes_requested = 0;  ///< cross-thread wake() calls
   std::uint64_t wakes_written = 0;    ///< wake pipe writes actually issued
   std::uint64_t pending_bytes_hwm = 0;  ///< max queued bytes on any conn
+  std::uint64_t durable_writes = 0;  ///< durable_write records issued
+  std::uint64_t durable_syncs = 0;   ///< WAL fdatasyncs (one per commit)
+  std::uint64_t durable_bytes = 0;   ///< bytes those records asked for
 
   /// Aggregation across processes (benches sum the cluster).
   TransportStats& operator+=(const TransportStats& o) {
@@ -124,6 +136,9 @@ struct TransportStats {
     wakes_requested += o.wakes_requested;
     wakes_written += o.wakes_written;
     pending_bytes_hwm = std::max(pending_bytes_hwm, o.pending_bytes_hwm);
+    durable_writes += o.durable_writes;
+    durable_syncs += o.durable_syncs;
+    durable_bytes += o.durable_bytes;
     return *this;
   }
 };
@@ -228,7 +243,8 @@ class ThreadRuntime final : public Runtime {
     return std::this_thread::get_id() ==
            loop_tid_.load(std::memory_order_acquire);
   }
-  int durable_fd(int disk_index);
+  void commit_durable();
+  void sync_wal(std::size_t bytes);
   std::string storage_path(const std::string& leaf) const;
 
   static constexpr TimeNs kNoDeadline =
@@ -285,7 +301,13 @@ class ThreadRuntime final : public Runtime {
   // Stable storage (own loop thread only).
   std::unordered_map<std::string, StableSlot> stable_;
   std::vector<std::pair<void*, std::size_t>> mappings_;
-  std::map<int, int> durable_fds_;
+
+  // Group commit (own loop thread only): bytes written since the last
+  // commit and their completions in issue order.
+  int wal_fd_ = -1;
+  std::size_t durable_pending_ = 0;
+  std::vector<Task> durable_waiters_;
+  std::vector<Task> durable_firing_;  // the batch being completed
 };
 
 class ThreadCluster {

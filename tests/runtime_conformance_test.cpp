@@ -6,7 +6,9 @@
 // Covered: timer ordering (including same-deadline FIFO), cancel semantics,
 // typed stable-slot reuse and crash survival, durable-write completion, and
 // send/receive including the wire framing path (on the thread backend every
-// cross-process message round-trips through net/wire encode/decode).
+// cross-process message round-trips through net/wire encode/decode). The
+// thread backend's own contracts follow: file-backed slots, encode-once,
+// back-pressure, bad frames and the group-committed WAL.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -703,6 +705,143 @@ TEST(ThreadRuntimeBadFrameTest, BadFrameCostsOneConnection) {
             "from=2 kind=301 session=3 seq=4 tag=0 result=after");
   EXPECT_EQ(cluster.transport_stats_all().frames_rejected, 3u);
   cluster.stop();
+}
+
+// ---- group commit (thread backend with a storage dir) ----------------------
+
+// The conformance cases run the thread backend without a storage dir; these
+// drive its WAL path. Writes issued in one loop turn share one append and
+// one fdatasync, and each completion fires, in issue order, only after the
+// fdatasync covering its bytes has returned.
+class ThreadRuntimeGroupCommitTest : public ::testing::Test {
+ protected:
+  static constexpr ProcessId kPid = 1;
+
+  ThreadRuntimeGroupCommitTest()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("mrp_group_commit_" + std::to_string(::getpid()))) {}
+
+  ~ThreadRuntimeGroupCommitTest() override {
+    cluster_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Starts one oracle process (a loop with no node) with or without a
+  /// storage dir.
+  void start(bool with_storage) {
+    std::filesystem::remove_all(dir_);
+    runtime::ThreadClusterOptions o;
+    if (with_storage) o.storage_dir = dir_.string();
+    o.codec = net::wire_codec();
+    cluster_ = std::make_unique<runtime::ThreadCluster>(o);
+    rt_ = &cluster_->add_oracle(kPid);
+    cluster_->start();
+  }
+
+  /// Runs fn on the loop thread and returns once that loop turn has
+  /// committed: the second call is posted after fn ran, so the loop reaches
+  /// it only after the turn's commit and flush.
+  void run_turn(const std::function<void()>& fn) {
+    cluster_->call(kPid, [&fn](runtime::Node*) { fn(); });
+    cluster_->call(kPid, [](runtime::Node*) {});
+  }
+
+  /// Counters read on the loop thread (inside completions).
+  runtime::TransportStats loop_stats() const { return rt_->transport_stats(); }
+  runtime::TransportStats stats() { return cluster_->transport_stats(kPid); }
+
+  std::uintmax_t wal_size() const {
+    std::error_code ec;
+    const std::uintmax_t n = std::filesystem::file_size(
+        dir_ / ("p" + std::to_string(kPid)) / "wal", ec);
+    return ec ? 0 : n;
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<runtime::ThreadCluster> cluster_;
+  runtime::ThreadRuntime* rt_ = nullptr;
+};
+
+TEST_F(ThreadRuntimeGroupCommitTest, OneSyncPerTurnCompletesInIssueOrder) {
+  start(true);
+  constexpr int kWrites = 64;
+  const int disks[] = {0, 1, 2, 100};
+  const runtime::TransportStats before = stats();
+
+  struct Fired {
+    int index;
+    std::uintmax_t wal_size;
+    std::uintmax_t issued_through;  // bytes issued up to this write
+    std::uint64_t syncs;
+  };
+  std::vector<Fired> fired;
+  std::uintmax_t total = 0;
+  run_turn([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      const std::size_t bytes = 100 + 7 * static_cast<std::size_t>(i);
+      total += bytes;
+      rt_->durable_write(disks[i % 4], bytes, [this, &fired, i, upto = total] {
+        fired.push_back({i, wal_size(), upto, loop_stats().durable_syncs});
+      });
+    }
+  });
+
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kWrites));
+  for (int i = 0; i < kWrites; ++i) {
+    const Fired& f = fired[static_cast<std::size_t>(i)];
+    EXPECT_EQ(f.index, i) << "completion out of issue order";
+    EXPECT_GE(f.wal_size, f.issued_through) << "fired before its bytes";
+    EXPECT_EQ(f.syncs, before.durable_syncs + 1) << "fired before the sync";
+  }
+  const runtime::TransportStats after = stats();
+  EXPECT_EQ(after.durable_syncs, before.durable_syncs + 1);
+  EXPECT_EQ(after.durable_writes, before.durable_writes + kWrites);
+  EXPECT_EQ(after.durable_bytes, before.durable_bytes + total);
+  EXPECT_EQ(wal_size(), total);
+}
+
+TEST_F(ThreadRuntimeGroupCommitTest, CompletionThatWritesGetsASecondSync) {
+  start(true);
+  const std::uint64_t before = stats().durable_syncs;
+  std::vector<std::uint64_t> syncs_at_fire;
+  run_turn([&] {
+    rt_->durable_write(0, 64, [this, &syncs_at_fire] {
+      syncs_at_fire.push_back(loop_stats().durable_syncs);
+      rt_->durable_write(100, 32, [this, &syncs_at_fire] {
+        syncs_at_fire.push_back(loop_stats().durable_syncs);
+      });
+    });
+  });
+  EXPECT_EQ(syncs_at_fire,
+            (std::vector<std::uint64_t>{before + 1, before + 2}));
+  EXPECT_EQ(stats().durable_syncs, before + 2);
+  EXPECT_EQ(wal_size(), 96u);
+}
+
+TEST_F(ThreadRuntimeGroupCommitTest, NullCompletionBytesAreSyncedByTurnEnd) {
+  start(true);
+  const std::uint64_t before = stats().durable_syncs;
+  run_turn([this] {
+    rt_->durable_write(1, 5000, nullptr);
+    rt_->durable_write(100, 3000, nullptr);
+  });
+  EXPECT_EQ(wal_size(), 8000u);
+  EXPECT_EQ(stats().durable_syncs, before + 1);
+}
+
+TEST_F(ThreadRuntimeGroupCommitTest, WithoutStorageDirCompletionRunsInline) {
+  start(false);
+  bool inline_fired = false;
+  cluster_->call(kPid, [this, &inline_fired](runtime::Node*) {
+    bool fired = false;
+    rt_->durable_write(0, 4096, [&fired] { fired = true; });
+    inline_fired = fired;
+  });
+  EXPECT_TRUE(inline_fired);
+  const runtime::TransportStats s = stats();
+  EXPECT_EQ(s.durable_writes, 0u);
+  EXPECT_EQ(s.durable_syncs, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
 }
 
 }  // namespace

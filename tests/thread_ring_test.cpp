@@ -5,17 +5,29 @@
 //
 // This is deliberately a smoke test (does consensus make progress, is
 // execution exactly-once, do all replicas converge), not a perf test —
-// fig11_realnet covers throughput/latency.
+// fig11_realnet covers throughput/latency. One case runs dLog with Sync
+// acceptor logs on disk, the write path behind the thread backend's group
+// commit.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "coord/registry.hpp"
+#include "dlog/client.hpp"
+#include "dlog/dlog.hpp"
 #include "net/wire.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "smr/client.hpp"
@@ -384,6 +396,150 @@ TEST_F(ThreadRingTest, MultiWorkerLoadMakesProgress) {
       << "8-worker closed loop stalled";
   cluster.call(kClient, [&client](runtime::Node*) { client->stop(); });
   cluster.stop();
+}
+
+TEST_F(ThreadRingTest, SyncAcceptorLogsOverLoopbackTcp) {
+  // dLog with Sync acceptor logs on disk: every Phase 2 vote leaves only
+  // after the group-committed WAL append holding its record is fdatasync'ed
+  // (the paper's "sync" storage mode). Concurrent appenders keep several
+  // votes in one loop turn, so commits must be shared between records.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrp_thread_ring_sync_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  static constexpr GroupId kCommon = 2;
+  const std::vector<ProcessId> servers = {1, 2, 3};
+  runtime::ThreadClusterOptions o = cluster_options();
+  o.storage_dir = dir.string();
+  {
+    runtime::ThreadCluster cluster(o);
+    coord::Registry registry(cluster.add_oracle(coord::kRegistrySender),
+                             50 * kMillisecond);
+
+    multiring::NodeConfig node_cfg;
+    for (GroupId g : {GroupId{0}, GroupId{1}, kCommon}) {
+      coord::RingConfig cfg;
+      cfg.ring = g;
+      cfg.order = servers;
+      cfg.acceptors = {servers.begin(), servers.end()};
+      registry.create_ring(cfg);
+
+      ringpaxos::RingParams rp;
+      rp.write_mode = storage::WriteMode::Sync;
+      rp.disk_index = g;
+      // Rate leveling keeps the merge moving while a ring is idle.
+      rp.skip_interval = 5 * kMillisecond;
+      rp.lambda = 9000;
+      node_cfg.rings.push_back(multiring::RingSub{g, rp, true});
+    }
+    for (ProcessId r : servers) {
+      cluster.add_local(r, [&registry, node_cfg](runtime::Runtime& rt) {
+        return std::make_unique<smr::ReplicaNode>(
+            rt, &registry, node_cfg,
+            smr::StateMachineFactory([](runtime::Runtime& sm_rt,
+                                        ProcessId self) {
+              return std::make_unique<dlog::LogStateMachine>(
+                  sm_rt, self, std::vector<dlog::LogId>{0, 1},
+                  dlog::LogStateMachineOptions{});
+            }),
+            smr::ReplicaOptions{});
+      });
+    }
+
+    dlog::DLogDeployment routing;
+    routing.log_groups = {0, 1};
+    routing.common_group = kCommon;
+    routing.servers = servers;
+    routing.num_logs = 2;
+    const dlog::DLogClient log_client(routing);
+
+    static constexpr int kTarget = 400;
+    std::mutex mu;
+    std::map<dlog::LogId, std::vector<dlog::Position>> acked;
+    int bad_replies = 0;
+    std::atomic<int> done{0};
+    cluster.add_local(kClient, [&](runtime::Runtime& rt) {
+      return std::make_unique<smr::ClientNode>(
+          rt, dlog::DLogClient::client_options(8, 0, kSecond),
+          smr::ClientNode::NextFn(
+              [&log_client, n = 0](std::uint32_t) mutable
+              -> std::optional<smr::Request> {
+                if (n >= kTarget) return std::nullopt;
+                const int k = n++;
+                Bytes data = to_bytes("entry-" + std::to_string(k));
+                if (k % 10 == 0) {
+                  return log_client.multi_append({0, 1}, std::move(data));
+                }
+                return log_client.append(static_cast<dlog::LogId>(k % 2),
+                                         std::move(data));
+              }),
+          smr::ClientNode::DoneFn([&](const smr::Completion& c) {
+            {
+              std::lock_guard<std::mutex> lk(mu);
+              const dlog::Result res =
+                  c.results.size() == 1
+                      ? dlog::decode_result(c.results.begin()->second)
+                      : dlog::Result{dlog::Status::kNotFound, {}, {}};
+              if (res.status != dlog::Status::kOk || res.positions.empty()) {
+                ++bad_replies;
+              }
+              for (const auto& [log, pos] : res.positions) {
+                acked[log].push_back(pos);
+              }
+            }
+            done.fetch_add(1);
+          }));
+    });
+
+    cluster.start();
+    ASSERT_TRUE(wait_for([&done] { return done.load() >= kTarget; }, 60))
+        << "Sync-mode dLog stalled over loopback TCP: " << done.load() << "/"
+        << kTarget << " completions";
+
+    // Acked positions of each log are unique and gap-free: 0..n-1.
+    std::map<dlog::LogId, dlog::Position> expected_next;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      EXPECT_EQ(bad_replies, 0);
+      for (dlog::LogId log : {0u, 1u}) {
+        std::vector<dlog::Position> pos = acked[log];
+        std::sort(pos.begin(), pos.end());
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          ASSERT_EQ(pos[i], i) << "log " << log << ": duplicate or gap";
+        }
+        expected_next[log] = pos.size();
+      }
+    }
+
+    // Every server converges to exactly the acked log contents.
+    auto server_state = [&cluster](ProcessId r) {
+      std::pair<std::map<dlog::LogId, dlog::Position>, std::uint64_t> st;
+      cluster.call(r, [&st](runtime::Node* n) {
+        const auto& sm = dynamic_cast<const dlog::LogStateMachine&>(
+            dynamic_cast<smr::ReplicaNode&>(*n).state_machine());
+        for (dlog::LogId log : {0u, 1u}) st.first[log] = sm.next_position(log);
+        st.second = sm.digest();
+      });
+      return st;
+    };
+    std::vector<std::uint64_t> digests;
+    for (ProcessId r : servers) {
+      ASSERT_TRUE(wait_for(
+          [&] { return server_state(r).first == expected_next; }, 30))
+          << "server " << r << " did not converge to the acked positions";
+      digests.push_back(server_state(r).second);
+    }
+    EXPECT_EQ(digests[0], digests[1]);
+    EXPECT_EQ(digests[0], digests[2]);
+
+    // Group commit happened: fewer fdatasyncs than records written.
+    const runtime::TransportStats io = cluster.transport_stats_all();
+    EXPECT_GT(io.durable_writes, 0u);
+    EXPECT_LT(io.durable_syncs, io.durable_writes);
+    cluster.stop();
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
